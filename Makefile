@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test lint lint-alloc lint-alloc-baseline docs race race-determinism faults checkpoint optimize bench bench-lowload bench-shards bench-vc bench-optimize profile clean
+.PHONY: all build vet test lint lint-alloc lint-alloc-baseline docs race race-determinism faults checkpoint fuzz optimize bench bench-lowload bench-shards bench-vc bench-optimize profile clean
 
 all: build vet test lint
 
@@ -13,10 +13,10 @@ vet:
 # Static invariants: cmd/simlint proves the determinism and layering
 # contracts (no map ranges or wall clock in deterministic packages — also
 # interprocedurally, via the call-graph taint rule), shard-safety of the
-# worker phases, checkpoint field coverage, switch exhaustiveness, the
-# package DAG, dropped errors, and exact float compares, and checks every
-# relative markdown link/anchor (the former cmd/mdlint). The gofmt check
-# keeps the tree format-clean; vet runs first. See docs/LINT.md.
+# worker phases, switch exhaustiveness, the package DAG, dropped errors,
+# and exact float compares, and checks every relative markdown
+# link/anchor (the former cmd/mdlint). The gofmt check keeps the tree
+# format-clean; vet runs first. See docs/LINT.md.
 lint: vet
 	$(GO) run ./cmd/simlint .
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
@@ -73,6 +73,15 @@ faults:
 checkpoint:
 	$(GO) test -race -count=1 -run 'Checkpoint|Snapshot|ResumeEquivalence' ./internal/netsim/
 	$(GO) test -race -count=1 -run 'KillAndResume|ResumeMidJob|SweepJournalRoundTrip|PanicContained' ./internal/runner/
+
+# Native fuzzing of the checkpoint decoder (FuzzRestore): arbitrary bytes
+# must restore to a Sim or an error, never a panic, and a restored Sim must
+# re-snapshot canonically. Minimization is capped at 5 s because the
+# default 60 s stalls on the 50-90 KB snapshot inputs. Crashers land in
+# internal/netsim/testdata/fuzz/FuzzRestore; commit them, and plain
+# `go test` replays them as regression seeds.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime 30s -fuzzminimizetime 5s ./internal/netsim/
 
 # The route-optimizer suite under the race detector: the package-level
 # property tests (invariants, determinism, deadlock freedom, escape

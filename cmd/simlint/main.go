@@ -1,8 +1,8 @@
 // Command simlint is the repository's one lint driver: it statically
-// proves the simulator's determinism, shard-safety, checkpoint-coverage
-// and layering invariants over the Go tree (internal/lint's rule set —
-// detrange, noclock, taint, shardsafe, ckptcover, exhaustive, sim,
-// layering, errcheck-lite, floateq, doccomment) and checks every markdown
+// proves the simulator's determinism, shard-safety and layering
+// invariants over the Go tree (internal/lint's rule set — detrange,
+// noclock, taint, shardsafe, exhaustive, sim, layering, errcheck-lite,
+// floateq, doccomment) and checks every markdown
 // file's relative links and anchors (the former cmd/mdlint, now the
 // mdlink rule). The taint and shardsafe rules are interprocedural: they
 // walk a module-wide static call graph, so the whole module is loaded and

@@ -92,7 +92,7 @@ type Rule interface {
 
 // ModuleRule is a rule that needs the whole module at once — the
 // interprocedural rules (taint, shardsafe) and the rules that read one
-// package's source on behalf of others (ckptcover, sim). Run calls
+// package's source on behalf of others (sim). Run calls
 // CheckModule exactly once per invocation instead of Check per package;
 // findings still position themselves at the offending line, so
 // //lint:ignore works unchanged.

@@ -28,7 +28,6 @@ func fixtureRules() []lint.Rule {
 		"fixture/graph":    0,
 		"fixture/thelp":    0,
 		"fixture/shardsim": 0,
-		"fixture/ckpt":     0,
 		"fixture/exhaust":  0,
 		"fixture/det":      1,
 		"fixture/clock":    1,
@@ -46,7 +45,6 @@ func fixtureRules() []lint.Rule {
 		lint.NoClock{Scope: clock},
 		lint.Taint{Scope: taint, Prog: prog},
 		lint.ShardSafe{Root: "(*fixture/shardsim.Core).phases", State: "fixture/shardsim.Core", Prog: prog},
-		lint.CkptCover{Pkg: "fixture/ckpt", FieldsVar: "ckptFields", ExemptVar: "ckptExempt"},
 		lint.Exhaustive{Module: "fixture"},
 		lint.SimDirectives{Prog: prog},
 		lint.Layering{Module: "fixture", Layers: layers},
@@ -77,10 +75,6 @@ func TestFixtureFindings(t *testing.T) {
 		lines = append(lines, filepath.ToSlash(f.String()))
 	}
 	want := []string{
-		"testdata/src/ckpt/ckpt.go:9:2 ckptcover: field ckpt.Thing.B is neither serialized by the checkpoint codec nor exempted; add it to ckptFields or ckptExempt (with a rebuild/empty-at-boundary justification)",
-		"testdata/src/ckpt/ckpt.go:22:24 ckptcover: stale entry: ckpt.Thing has no field \"Gone\"; remove it from the serialized list",
-		"testdata/src/ckpt/ckpt.go:23:2 ckptcover: type key \"ckpt.Missing\" does not resolve to a struct type visible from fixture/ckpt",
-		"testdata/src/ckpt/ckpt.go:28:22 ckptcover: field ckpt.Thing.A is listed as both serialized and exempt; pick one",
 		"testdata/src/clock/clock.go:11:12 noclock: time.Now reads the wall clock; deterministic packages must be pure in (spec, seed) — wall-clock timing belongs in the CLI/report layer",
 		"testdata/src/clock/clock.go:12:14 noclock: time.Since reads the wall clock; deterministic packages must be pure in (spec, seed) — wall-clock timing belongs in the CLI/report layer",
 		"testdata/src/clock/clock.go:17:14 noclock: global rand.Intn draws from the process-wide source; use an explicitly seeded *rand.Rand",

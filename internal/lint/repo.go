@@ -46,8 +46,10 @@ var repoStats = map[string]bool{
 var repoLayers = map[string]int{
 	// Foundations: no internal imports.
 	"itbsim/internal/topology": 0,
-	"itbsim/internal/metrics":  0,
+	"itbsim/internal/codec":    0,
 	"itbsim/internal/lint":     0,
+	// The metrics collector encodes its state with the shared codec.
+	"itbsim/internal/metrics": 1,
 	// Routing substrate on the raw graph.
 	"itbsim/internal/updown":   1,
 	"itbsim/internal/mapper":   1,
@@ -112,7 +114,6 @@ func RepoRules() []Rule {
 		NoClock{Scope: repoDeterministic},
 		Taint{Scope: repoDeterministic, Prog: prog},
 		ShardSafe{Root: RepoShardRoot, State: RepoShardState, Prog: prog},
-		CkptCover{Pkg: "itbsim/internal/netsim", FieldsVar: "checkpointFields", ExemptVar: "checkpointExempt"},
 		Exhaustive{Module: RepoModule},
 		SimDirectives{Prog: prog},
 		Layering{Module: RepoModule, Layers: repoLayers, PrefixLayers: repoPrefixLayers},

@@ -1,343 +1,122 @@
 package metrics
 
 import (
-	"encoding/binary"
-	"fmt"
-	"math"
+	"itbsim/internal/codec"
 )
 
 // Binary codecs for the streaming state of this package, used by the
-// simulator checkpoint (docs/CHECKPOINT.md): a mid-run Collector and its
-// Histograms round-trip exactly, so a restored run's exported telemetry is
-// byte-identical to the uninterrupted run's. The encoding is little-endian
-// with length-prefixed slices and a leading format version byte per type.
+// simulator checkpoint (docs/CHECKPOINT.md) and the sweep journal: a
+// mid-run Collector and its Histograms round-trip exactly, so a restored
+// run's exported telemetry is byte-identical to the uninterrupted run's.
+// Each type has one walk, Code, that both encodes and decodes
+// (internal/codec); the layout is little-endian with uint32
+// length-prefixed slices and a leading format version byte per type.
 
 const (
 	histogramCodecVersion = 1
 	collectorCodecVersion = 1
 )
 
-// enc is a sticky-error little-endian byte writer.
-type enc struct {
-	buf []byte
+// Code writes or reads (per c's mode) the histogram's complete state:
+// bucket counts and the exact summary moments (count, sum, min, max). A
+// zero-valued receiver decodes too. On a failed read the receiver holds
+// partially decoded state and must be discarded.
+func (h *Histogram) Code(c *codec.Codec) {
+	v := uint8(histogramCodecVersion)
+	c.U8(&v)
+	if v != histogramCodecVersion {
+		c.Failf("metrics: histogram codec version %d, want %d", v, histogramCodecVersion)
+	}
+	c.U64(&h.count)
+	c.F64(&h.sum)
+	c.F64(&h.min)
+	c.F64(&h.max)
+	if c.Reading() && h.counts == nil {
+		h.counts = make([]uint64, NumBuckets)
+	}
+	codec.Fixed(c, h.counts, "histogram buckets", c.U64)
 }
 
-func (e *enc) u8(v uint8)   { e.buf = append(e.buf, v) }
-func (e *enc) u32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
-func (e *enc) u64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
-func (e *enc) i64(v int64)  { e.u64(uint64(v)) }
-func (e *enc) f64(v float64) {
-	e.u64(math.Float64bits(v))
-}
-
-func (e *enc) i64s(s []int64) {
-	e.u32(uint32(len(s)))
-	for _, v := range s {
-		e.i64(v)
-	}
-}
-
-func (e *enc) i32s(s []int32) {
-	e.u32(uint32(len(s)))
-	for _, v := range s {
-		e.u32(uint32(v))
-	}
-}
-
-func (e *enc) u32s(s []uint32) {
-	e.u32(uint32(len(s)))
-	for _, v := range s {
-		e.u32(v)
-	}
-}
-
-func (e *enc) u64s(s []uint64) {
-	e.u32(uint32(len(s)))
-	for _, v := range s {
-		e.u64(v)
-	}
-}
-
-func (e *enc) f64s(s []float64) {
-	e.u32(uint32(len(s)))
-	for _, v := range s {
-		e.f64(v)
-	}
-}
-
-// dec is a sticky-error little-endian byte reader: after the first short
-// read every subsequent call returns zero values and err stays set.
-type dec struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *dec) fail(n int) bool {
-	if d.err != nil {
-		return true
-	}
-	if d.off+n > len(d.buf) {
-		d.err = fmt.Errorf("metrics: truncated codec input at offset %d (need %d of %d bytes)", d.off, n, len(d.buf))
-		return true
-	}
-	return false
-}
-
-func (d *dec) u8() uint8 {
-	if d.fail(1) {
-		return 0
-	}
-	v := d.buf[d.off]
-	d.off++
-	return v
-}
-
-func (d *dec) u32() uint32 {
-	if d.fail(4) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.buf[d.off:])
-	d.off += 4
-	return v
-}
-
-func (d *dec) u64() uint64 {
-	if d.fail(8) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.buf[d.off:])
-	d.off += 8
-	return v
-}
-
-func (d *dec) i64() int64    { return int64(d.u64()) }
-func (d *dec) f64() float64  { return math.Float64frombits(d.u64()) }
-func (d *dec) sliceLen() int { return int(d.u32()) }
-
-func (d *dec) i64s() []int64 {
-	n := d.sliceLen()
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	s := make([]int64, n)
-	for i := range s {
-		s[i] = d.i64()
-	}
-	return s
-}
-
-func (d *dec) i32s() []int32 {
-	n := d.sliceLen()
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	s := make([]int32, n)
-	for i := range s {
-		s[i] = int32(d.u32())
-	}
-	return s
-}
-
-func (d *dec) u32s() []uint32 {
-	n := d.sliceLen()
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	s := make([]uint32, n)
-	for i := range s {
-		s[i] = d.u32()
-	}
-	return s
-}
-
-func (d *dec) u64s() []uint64 {
-	n := d.sliceLen()
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	s := make([]uint64, n)
-	for i := range s {
-		s[i] = d.u64()
-	}
-	return s
-}
-
-func (d *dec) f64s() []float64 {
-	n := d.sliceLen()
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	s := make([]float64, n)
-	for i := range s {
-		s[i] = d.f64()
-	}
-	return s
-}
-
-// MarshalBinary serializes the histogram's complete state: bucket counts and
-// the exact summary moments (count, sum, min, max).
+// MarshalBinary serializes the histogram (see Code).
 func (h *Histogram) MarshalBinary() ([]byte, error) {
-	e := &enc{}
-	e.u8(histogramCodecVersion)
-	e.u64(h.count)
-	e.f64(h.sum)
-	e.f64(h.min)
-	e.f64(h.max)
-	e.u64s(h.counts)
-	return e.buf, nil
+	c := codec.NewWriter(64 + 8*len(h.counts))
+	h.Code(c)
+	return c.Bytes()
 }
 
 // UnmarshalBinary restores a histogram serialized by MarshalBinary,
-// overwriting the receiver. The receiver may be freshly built by
-// NewHistogram or zero-valued (bucket storage is allocated as needed).
+// overwriting the receiver (see Code).
 func (h *Histogram) UnmarshalBinary(data []byte) error {
-	d := &dec{buf: data}
-	if v := d.u8(); d.err == nil && v != histogramCodecVersion {
-		return fmt.Errorf("metrics: histogram codec version %d, want %d", v, histogramCodecVersion)
-	}
-	count := d.u64()
-	sum := d.f64()
-	mn := d.f64()
-	mx := d.f64()
-	counts := d.u64s()
-	if d.err != nil {
-		return d.err
-	}
-	if len(counts) != NumBuckets {
-		return fmt.Errorf("metrics: histogram has %d buckets, want %d", len(counts), NumBuckets)
-	}
-	if d.off != len(data) {
-		return fmt.Errorf("metrics: %d trailing bytes after histogram", len(data)-d.off)
-	}
-	h.count, h.sum, h.min, h.max = count, sum, mn, mx
-	if h.counts == nil {
-		h.counts = counts
-	} else {
-		copy(h.counts, counts)
-	}
-	return nil
+	c := codec.NewReader(data)
+	h.Code(c)
+	return c.Done()
 }
 
-// MarshalBinary serializes a mid-run collector's complete state, including
-// the mutable window width (rebinning doubles it) and every series.
+// Code writes or reads (per cd's mode) a mid-run collector's complete
+// state, including the mutable window width (rebinning doubles it) and
+// every series. A reading receiver must have been built by NewCollector
+// for the same network shape (and EnableVCs with the same lane count when
+// the state carries VC series); mismatched dimensions are a failure. On a
+// failed read the receiver holds partially decoded state and must be
+// discarded.
+func (c *Collector) Code(cd *codec.Codec) {
+	v := uint8(collectorCodecVersion)
+	cd.U8(&v)
+	if v != collectorCodecVersion {
+		cd.Failf("metrics: collector codec version %d, want %d", v, collectorCodecVersion)
+	}
+	cd.I64(&c.windowCycles)
+	cd.Int(&c.maxWindows)
+	cd.I64(&c.startCycle)
+	cd.I64(&c.nextSample)
+	channels, switches, hosts := c.channels, c.switches, c.hosts
+	cd.Int(&channels)
+	cd.Int(&switches)
+	cd.Int(&hosts)
+	if channels != c.channels || switches != c.switches || hosts != c.hosts {
+		cd.Failf("metrics: collector state is for %d/%d/%d channels/switches/hosts, receiver has %d/%d/%d",
+			channels, switches, hosts, c.channels, c.switches, c.hosts)
+	}
+	codec.Fixed(cd, c.busyPrev, "channel counters", cd.I64)
+	codec.Slice(cd, &c.busySeries, cd.U32)
+	cd.Int(&c.windows)
+	codec.Fixed(cd, c.peakBusyFrac, "channel peaks", cd.F64)
+	codec.Fixed(cd, c.occSum, "switch occupancy sums", cd.I64)
+	codec.Fixed(cd, c.occPeak, "switch occupancy peaks", cd.I32)
+	codec.Fixed(cd, c.poolSum, "host pool sums", cd.I64)
+	codec.Fixed(cd, c.poolPeak, "host pool peaks", cd.I32)
+	codec.Fixed(cd, c.ejects, "host eject counters", cd.I64)
+	codec.Fixed(cd, c.reinjects, "host re-injection counters", cd.I64)
+	codec.Fixed(cd, c.backpressure, "host backpressure counters", cd.I64)
+	cd.I64(&c.delivPrev)
+	cd.I64(&c.dropPrev)
+	cd.I64(&c.retransPrev)
+	codec.Slice(cd, &c.delivSeries, cd.U32)
+	codec.Slice(cd, &c.dropSeries, cd.U32)
+	codec.Slice(cd, &c.retransSeries, cd.U32)
+	numVCs := c.numVCs
+	cd.Int(&numVCs)
+	if numVCs != c.numVCs {
+		cd.Failf("metrics: collector state has %d virtual channels, receiver has %d", numVCs, c.numVCs)
+	}
+	codec.Fixed(cd, c.vcOccSum, "lane occupancy sums", cd.I64)
+	codec.Fixed(cd, c.vcOccPeak, "lane occupancy peaks", cd.I32)
+	codec.Slice(cd, &c.vcOccSeries, cd.U32)
+	codec.Slice(cd, &c.vcCount, cd.U32)
+	cd.I64(&c.samples)
+}
+
+// MarshalBinary serializes the collector (see Code).
 func (c *Collector) MarshalBinary() ([]byte, error) {
-	e := &enc{}
-	e.u8(collectorCodecVersion)
-	e.i64(c.windowCycles)
-	e.i64(int64(c.maxWindows))
-	e.i64(c.startCycle)
-	e.i64(c.nextSample)
-	e.i64(int64(c.channels))
-	e.i64(int64(c.switches))
-	e.i64(int64(c.hosts))
-	e.i64s(c.busyPrev)
-	e.u32s(c.busySeries)
-	e.i64(int64(c.windows))
-	e.f64s(c.peakBusyFrac)
-	e.i64s(c.occSum)
-	e.i32s(c.occPeak)
-	e.i64s(c.poolSum)
-	e.i32s(c.poolPeak)
-	e.i64s(c.ejects)
-	e.i64s(c.reinjects)
-	e.i64s(c.backpressure)
-	e.i64(c.delivPrev)
-	e.i64(c.dropPrev)
-	e.i64(c.retransPrev)
-	e.u32s(c.delivSeries)
-	e.u32s(c.dropSeries)
-	e.u32s(c.retransSeries)
-	e.i64(int64(c.numVCs))
-	e.i64s(c.vcOccSum)
-	e.i32s(c.vcOccPeak)
-	e.u32s(c.vcOccSeries)
-	e.u32s(c.vcCount)
-	e.i64(c.samples)
-	return e.buf, nil
+	cd := codec.NewWriter(1 << 10)
+	c.Code(cd)
+	return cd.Bytes()
 }
 
 // UnmarshalBinary restores a collector serialized by MarshalBinary into the
-// receiver, which must have been built by NewCollector for the same network
-// shape (and EnableVCs with the same lane count when the snapshot carries
-// VC state); mismatched dimensions are an error.
+// receiver (see Code).
 func (c *Collector) UnmarshalBinary(data []byte) error {
-	d := &dec{buf: data}
-	if v := d.u8(); d.err == nil && v != collectorCodecVersion {
-		return fmt.Errorf("metrics: collector codec version %d, want %d", v, collectorCodecVersion)
-	}
-	windowCycles := d.i64()
-	maxWindows := int(d.i64())
-	startCycle := d.i64()
-	nextSample := d.i64()
-	channels := int(d.i64())
-	switches := int(d.i64())
-	hosts := int(d.i64())
-	busyPrev := d.i64s()
-	busySeries := d.u32s()
-	windows := int(d.i64())
-	peakBusyFrac := d.f64s()
-	occSum := d.i64s()
-	occPeak := d.i32s()
-	poolSum := d.i64s()
-	poolPeak := d.i32s()
-	ejects := d.i64s()
-	reinjects := d.i64s()
-	backpressure := d.i64s()
-	delivPrev := d.i64()
-	dropPrev := d.i64()
-	retransPrev := d.i64()
-	delivSeries := d.u32s()
-	dropSeries := d.u32s()
-	retransSeries := d.u32s()
-	numVCs := int(d.i64())
-	vcOccSum := d.i64s()
-	vcOccPeak := d.i32s()
-	vcOccSeries := d.u32s()
-	vcCount := d.u32s()
-	samples := d.i64()
-	if d.err != nil {
-		return d.err
-	}
-	if d.off != len(data) {
-		return fmt.Errorf("metrics: %d trailing bytes after collector", len(data)-d.off)
-	}
-	if channels != c.channels || switches != c.switches || hosts != c.hosts {
-		return fmt.Errorf("metrics: collector snapshot is for %d/%d/%d channels/switches/hosts, receiver has %d/%d/%d",
-			channels, switches, hosts, c.channels, c.switches, c.hosts)
-	}
-	if numVCs != c.numVCs {
-		return fmt.Errorf("metrics: collector snapshot has %d virtual channels, receiver has %d", numVCs, c.numVCs)
-	}
-	if len(busyPrev) != channels || len(peakBusyFrac) != channels ||
-		len(occSum) != switches || len(occPeak) != switches ||
-		len(poolSum) != hosts || len(poolPeak) != hosts ||
-		len(ejects) != hosts || len(reinjects) != hosts || len(backpressure) != hosts {
-		return fmt.Errorf("metrics: collector snapshot arrays do not match its own dimensions")
-	}
-	c.windowCycles = windowCycles
-	c.maxWindows = maxWindows
-	c.startCycle = startCycle
-	c.nextSample = nextSample
-	copy(c.busyPrev, busyPrev)
-	c.busySeries = busySeries
-	c.windows = windows
-	copy(c.peakBusyFrac, peakBusyFrac)
-	copy(c.occSum, occSum)
-	copy(c.occPeak, occPeak)
-	copy(c.poolSum, poolSum)
-	copy(c.poolPeak, poolPeak)
-	copy(c.ejects, ejects)
-	copy(c.reinjects, reinjects)
-	copy(c.backpressure, backpressure)
-	c.delivPrev, c.dropPrev, c.retransPrev = delivPrev, dropPrev, retransPrev
-	c.delivSeries, c.dropSeries, c.retransSeries = delivSeries, dropSeries, retransSeries
-	if numVCs > 0 {
-		copy(c.vcOccSum, vcOccSum)
-		copy(c.vcOccPeak, vcOccPeak)
-	}
-	c.vcOccSeries = vcOccSeries
-	c.vcCount = vcCount
-	c.samples = samples
-	return nil
+	cd := codec.NewReader(data)
+	c.Code(cd)
+	return cd.Done()
 }

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -44,10 +45,31 @@ func resultBytes(t *testing.T, res *Result) []byte {
 	return b
 }
 
-// expectResume restores snap under cfg, runs to completion, and requires the
-// result to match want exactly — structurally and byte-for-byte.
+// expectCanonical requires snapshot bytes to be canonical: each snapshot,
+// restored under cfg, must re-snapshot to exactly the same bytes.
+func expectCanonical(t *testing.T, cfg Config, snaps [][]byte, label string) {
+	t.Helper()
+	for i, snap := range snaps {
+		restored, err := Restore(cfg, snap)
+		if err != nil {
+			t.Fatalf("%s %d: restore: %v", label, i, err)
+		}
+		again, err := restored.Snapshot()
+		if err != nil {
+			t.Fatalf("%s %d: re-snapshot: %v", label, i, err)
+		}
+		if !bytes.Equal(again, snap) {
+			t.Errorf("%s %d: restored state re-snapshots to different bytes (%d vs %d)", label, i, len(again), len(snap))
+		}
+	}
+}
+
+// expectResume requires snap to be canonical under cfg, then restores it,
+// runs to completion, and requires the result to match want exactly —
+// structurally and byte-for-byte.
 func expectResume(t *testing.T, cfg Config, snap []byte, want *Result, label string) {
 	t.Helper()
+	expectCanonical(t, cfg, [][]byte{snap}, label)
 	got, err := ResumeContext(context.Background(), cfg, snap)
 	if err != nil {
 		t.Fatalf("%s: resume: %v", label, err)
@@ -76,7 +98,8 @@ var checkpointMechanisms = []struct {
 // execution mechanism, routing scheme, and fault mode, a run snapshotted at
 // an arbitrary mid-run cycle and resumed from that snapshot must produce a
 // Result byte-identical to the uninterrupted run — and the snapshotting run
-// itself must be unperturbed by taking checkpoints.
+// itself must be unperturbed by taking checkpoints, and every snapshot it
+// wrote must be canonical.
 func TestResumeEquivalence(t *testing.T) {
 	net := makeNet(t, 4, 4, 2)
 	for _, mech := range checkpointMechanisms {
@@ -101,6 +124,7 @@ func TestResumeEquivalence(t *testing.T) {
 					}
 					resume := shardConfig(t, net, sch, faulted)
 					mech.apply(&resume)
+					expectCanonical(t, resume, snaps, "snapshot")
 					expectResume(t, resume, snaps[len(snaps)/2], want, "mid-run snapshot")
 				})
 			}
@@ -129,6 +153,7 @@ func TestResumeEquivalenceVC(t *testing.T) {
 			}
 			resume := vcConfig(t, net, 2)
 			mech.apply(&resume)
+			expectCanonical(t, resume, snaps, "snapshot")
 			expectResume(t, resume, snaps[len(snaps)/2], want, "mid-run snapshot")
 		})
 	}
@@ -152,9 +177,11 @@ func TestResumeEverySnapshot(t *testing.T) {
 
 // TestResumeCrossMechanism proves a snapshot is mechanism-portable: state
 // written under the sharded core restores under the dense scan and vice
-// versa (and under a different shard count), because active sets are
-// re-derived rather than serialized and the config hash excludes
-// execution-mechanism knobs.
+// versa (and under a different shard count), because active sets and
+// parked timers are re-derived rather than serialized and the config hash
+// excludes execution-mechanism knobs. The same property makes the bytes
+// canonical: dense, active-set and sharded runs write identical snapshots
+// at every checkpoint cycle.
 func TestResumeCrossMechanism(t *testing.T) {
 	net := makeNet(t, 4, 4, 2)
 	mk := func() Config { return shardConfig(t, net, routes.ITBRR, false) }
@@ -168,6 +195,22 @@ func TestResumeCrossMechanism(t *testing.T) {
 	denseCfg := mk()
 	denseCfg.DenseStep = true
 	_, denseSnaps := runCheckpointed(t, denseCfg, 10_000)
+	activeCfg := mk()
+	activeCfg.Shards = 1
+	_, activeSnaps := runCheckpointed(t, activeCfg, 10_000)
+	for _, run := range []struct {
+		name  string
+		snaps [][]byte
+	}{{"3-shard", shardedSnaps}, {"active-set", activeSnaps}} {
+		if len(run.snaps) != len(denseSnaps) {
+			t.Fatalf("%s run wrote %d snapshots, dense wrote %d", run.name, len(run.snaps), len(denseSnaps))
+		}
+		for i, snap := range run.snaps {
+			if !bytes.Equal(snap, denseSnaps[i]) {
+				t.Errorf("%s snapshot %d differs from the dense run's (%d vs %d bytes)", run.name, i, len(snap), len(denseSnaps[i]))
+			}
+		}
+	}
 
 	resume := mk()
 	resume.DenseStep = true
@@ -410,4 +453,53 @@ func TestResumeManualStepping(t *testing.T) {
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("manual-stepping resume diverges:\nwant: %+v\ngot:  %+v", want, got)
 	}
+}
+
+// FuzzRestore feeds arbitrary bytes to Restore, seeded with snapshots of a
+// short faulted ITB-RR run with metrics on. The oracle: Restore returns a
+// Sim or an error and never panics, and a Sim it returns snapshots to
+// bytes that restore again and re-snapshot unchanged. The restored Sim is
+// never stepped: corrupt but well-formed state may misbehave in step, and
+// the runner's worker recover() already types such a panic as PanicError.
+// `make fuzz` runs it; minimized crashers live in testdata/fuzz/FuzzRestore.
+func FuzzRestore(f *testing.F) {
+	net := makeNet(f, 4, 4, 2)
+	cfg := shardConfig(f, net, routes.ITBRR, true)
+	seed := cfg
+	seed.CheckpointEvery = 10_000
+	var snaps [][]byte
+	seed.CheckpointSink = func(_ int64, snap []byte) error {
+		snaps = append(snaps, snap)
+		return nil
+	}
+	if _, err := Run(seed); err != nil {
+		f.Fatal(err)
+	}
+	if len(snaps) < 3 {
+		f.Fatalf("seed run wrote %d snapshots, want at least 3", len(snaps))
+	}
+	for _, snap := range [][]byte{snaps[0], snaps[len(snaps)/2], snaps[len(snaps)-1]} {
+		f.Add(snap)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Restore(cfg, data)
+		if err != nil {
+			return
+		}
+		once, err := s.Snapshot()
+		if err != nil {
+			t.Fatalf("restored Sim does not snapshot: %v", err)
+		}
+		again, err := Restore(cfg, once)
+		if err != nil {
+			t.Fatalf("snapshot of a restored Sim does not restore: %v", err)
+		}
+		twice, err := again.Snapshot()
+		if err != nil {
+			t.Fatalf("re-restored Sim does not snapshot: %v", err)
+		}
+		if !bytes.Equal(once, twice) {
+			t.Fatalf("re-snapshot differs (%d vs %d bytes)", len(once), len(twice))
+		}
+	})
 }

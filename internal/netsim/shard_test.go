@@ -42,7 +42,7 @@ func shardNets(t *testing.T) []*topology.Network {
 // shardConfig is a run that exercises every subsystem shard merging
 // touches: wormhole contention, ITB re-injection, windowed metrics and
 // histograms, and (optionally) kills, retries, and reconfiguration.
-func shardConfig(t *testing.T, net *topology.Network, sch routes.Scheme, faulted bool) Config {
+func shardConfig(t testing.TB, net *topology.Network, sch routes.Scheme, faulted bool) Config {
 	t.Helper()
 	tab := makeTable(t, net, sch)
 	cfg := baseConfig(net, tab)

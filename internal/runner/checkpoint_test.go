@@ -3,6 +3,7 @@ package runner
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"os"
 	"os/exec"
@@ -123,7 +124,25 @@ func TestResumeMidJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := reportJSON(t, repRef)
+	interruptAfterFirstPoint(t, net, dir)
 
+	res := checkpointSpec(t, net)
+	res.CheckpointDir = dir
+	res.Resume = true
+	repRes, err := Run(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reportJSON(t, repRes); !bytes.Equal(ref, got) {
+		t.Errorf("resume after mid-job interrupt diverges:\nwant %s\ngot  %s", ref, got)
+	}
+}
+
+// interruptAfterFirstPoint runs checkpointSpec in dir and cancels it once
+// the first load point is done, leaving job-0.ckpt with that point
+// finished and a mid-simulation snapshot of the second.
+func interruptAfterFirstPoint(t *testing.T, net *topology.Network, dir string) {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	crash := checkpointSpec(t, net)
@@ -138,6 +157,41 @@ func TestResumeMidJob(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "job-0.ckpt")); err != nil {
 		t.Fatalf("interrupted run left no in-flight checkpoint: %v", err)
 	}
+}
+
+// TestResumeOldCheckpointVersion follows the versioning policy of
+// docs/CHECKPOINT.md: an in-flight snapshot written in another format
+// version is not an error. The resumed job reuses the header's finished
+// points, re-runs the interrupted point from scratch, and the report
+// equals an uninterrupted run's.
+func TestResumeOldCheckpointVersion(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation too slow for -short")
+	}
+	net := testNet(t)
+	dir := t.TempDir()
+
+	plain := checkpointSpec(t, net)
+	plain.CheckpointEvery = 0
+	repRef, err := Run(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := reportJSON(t, repRef)
+	interruptAfterFirstPoint(t, net, dir)
+
+	// Rewrite the snapshot's format version (the u32 after the 8-byte
+	// magic) to 1, as a checkpoint left by an older build.
+	path := filepath.Join(dir, "job-0.ckpt")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := data[bytes.IndexByte(data, '\n')+1:]
+	binary.LittleEndian.PutUint32(snap[8:], 1)
+	if err := os.WriteFile(path, data, 0o666); err != nil {
+		t.Fatal(err)
+	}
 
 	res := checkpointSpec(t, net)
 	res.CheckpointDir = dir
@@ -147,7 +201,7 @@ func TestResumeMidJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := reportJSON(t, repRes); !bytes.Equal(ref, got) {
-		t.Errorf("resume after mid-job interrupt diverges:\nwant %s\ngot  %s", ref, got)
+		t.Errorf("resume over a v1 checkpoint diverges:\nwant %s\ngot  %s", ref, got)
 	}
 }
 

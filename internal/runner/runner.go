@@ -17,6 +17,7 @@ package runner
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -554,8 +555,8 @@ func (s *Spec) optimizeTable(j Job, table *routes.Table, dest netsim.DestFn) (*r
 // simulation periodically snapshots into <dir>/job-<index>.ckpt alongside
 // the finished points, and on Resume the walk reuses finished points and
 // restarts the interrupted point from its snapshot mid-simulation.
-func (s *Spec) runJob(j Job, reporter *lockedReporter, jl *journal) CurveResult {
-	cr := CurveResult{Job: j}
+func (s *Spec) runJob(j Job, reporter *lockedReporter, jl *journal) (cr CurveResult) {
+	cr = CurveResult{Job: j}
 	cr.Curve.Label = j.Label
 	reporter.jobStarted(j)
 	defer func() { reporter.jobDone(&cr) }()
@@ -616,6 +617,7 @@ func (s *Spec) runJob(j Job, reporter *lockedReporter, jl *journal) CurveResult 
 	}
 
 	simStart := time.Now() //lint:ignore noclock wall-clock bookkeeping only
+	// cr is the named result, so this lands in the returned value.
 	//lint:ignore noclock wall-clock bookkeeping only
 	defer func() { cr.Sim = time.Since(simStart) }()
 	countdown := -1 // points left after saturation; -1 = not yet saturated
@@ -677,6 +679,11 @@ func (s *Spec) runJob(j Job, reporter *lockedReporter, jl *journal) CurveResult 
 			var rerr error
 			if resumeHdr != nil && i == resumeHdr.Point && len(resumeSnap) > 0 {
 				res, rerr = netsim.ResumeContext(s.Context, cfg, resumeSnap)
+				if errors.Is(rerr, netsim.ErrCheckpointVersion) {
+					// Written by a build with another snapshot format:
+					// re-run the point from scratch (docs/CHECKPOINT.md).
+					res, rerr = netsim.RunContext(s.Context, cfg)
+				}
 			} else {
 				res, rerr = netsim.RunContext(s.Context, cfg)
 			}

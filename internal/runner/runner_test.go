@@ -53,6 +53,30 @@ func stripTiming(rep *Report) {
 	rep.Parallel = 0
 }
 
+// TestCurveSimTimeRecorded: every simulated curve reports the wall time of
+// its load walk, which feeds sweep -json sim_ms, the progress line and the
+// journal's sim_us.
+func TestCurveSimTimeRecorded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation too slow for -short")
+	}
+	spec := testSpec(t, testNet(t))
+	spec.Schemes = []routes.Scheme{routes.UpDown, routes.ITBRR}
+	spec.Patterns = spec.Patterns[:1]
+	rep, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cr := range rep.Curves {
+		if len(cr.Curve.Points) == 0 {
+			t.Fatalf("%s: no points simulated", cr.Job.Label)
+		}
+		if cr.Sim <= 0 {
+			t.Errorf("%s: CurveResult.Sim = %v after simulating %d points", cr.Job.Label, cr.Sim, len(cr.Curve.Points))
+		}
+	}
+}
+
 // TestDeterminismAcrossParallelism is the core contract: the same spec
 // must produce byte-identical results at parallel=1 and parallel=8. Run
 // under -race this also proves the worker pool race-clean.
